@@ -22,6 +22,15 @@
 // that baseline with byte-identical rebuilds and identical cross-rack
 // traffic.
 //
+// Part 3 — pacing off: the same RPR (12,4) star at 16 MiB blocks, 1 MiB
+// slices and 1000 Gb/s links, so the wall time is the engines' software
+// cost (GF work, copies, sockets, value buffers). Each engine runs one
+// warm-up and then N timed repairs and N timed single-block reads (the
+// first data block outside the recovery rack, shipped to the replacement
+// node); rows report the best of N and repair ÷ read, ECPipe's yardstick
+// (Li et al., "Repair Pipelining for Erasure-Coded Storage"), whose ideal
+// is 1.
+//
 // BENCH_pipeline.json at the repo root is a checked-in capture of this
 // binary's JSON output (first argument, default "BENCH_pipeline.json";
 // "-" skips the file).
@@ -51,6 +60,12 @@ constexpr int kReps = 2;            // best-of, absorbs scheduler noise
 constexpr std::uint64_t kChainBlock = 32ull << 20;
 constexpr double kChainTimeScale = 8.0;
 
+// The pacing-off fixture: a real repair's software cost, no link model.
+constexpr std::uint64_t kFastBlock = 16ull << 20;
+constexpr std::size_t kFastSlice = 1 << 20;
+constexpr double kFastGbps = 1000.0;
+constexpr int kFastReps = 7;
+
 struct Run {
   std::string engine;
   std::size_t slice_size;
@@ -58,6 +73,7 @@ struct Run {
   std::uint64_t cross_bytes;
   std::uint64_t inner_bytes;
   double speedup = 0.0;
+  double read_s = 0.0;  // pacing-off rows: best single-block read
 };
 
 struct Fixture {
@@ -114,6 +130,44 @@ struct Fixture {
       }
       const double s = static_cast<double>(result.wall_time.count()) / 1e9;
       if (s < run.wall_s) run.wall_s = s;
+      run.cross_bytes = result.cross_rack_bytes;
+      run.inner_bytes = result.inner_rack_bytes;
+    }
+    return run;
+  }
+
+  /// Pacing-off row: after one untimed warm-up of each, the best of
+  /// kFastReps repairs of `planned` and of kFastReps single-block reads.
+  template <typename Engine>
+  Run measure_unpaced(const char* name,
+                      const rpr::repair::PlannedRepair& planned,
+                      Engine& engine) const {
+    const rpr::topology::NodeId dest = problem.replacements[0];
+    const auto dest_rack = placed.cluster.rack_of(dest);
+    std::size_t read_block = 0;
+    while (placed.placement.rack_of(read_block) == dest_rack) ++read_block;
+    rpr::repair::RepairPlan read;
+    read.block_size = block_size;
+    const rpr::topology::NodeId src = placed.placement.node_of(read_block);
+    const rpr::repair::OpId read_out[] = {
+        read.send(read.read(src, read_block, 1), src, dest)};
+
+    Run run{name, kFastSlice, 1e30, 0, 0};
+    run.read_s = 1e30;
+    for (int rep = 0; rep <= kFastReps; ++rep) {
+      const auto result =
+          engine.execute(planned.plan, planned.outputs, stripe);
+      const auto got = engine.execute(read, read_out, stripe);
+      if (result.outputs[0] != stripe[0] ||
+          got.outputs[0] != stripe[read_block]) {
+        std::fprintf(stderr, "%s pacing-off mismatch!\n", name);
+        std::exit(1);
+      }
+      if (rep == 0) continue;  // warm-up
+      run.wall_s = std::min(
+          run.wall_s, static_cast<double>(result.wall_time.count()) / 1e9);
+      run.read_s = std::min(
+          run.read_s, static_cast<double>(got.wall_time.count()) / 1e9);
       run.cross_bytes = result.cross_rack_bytes;
       run.inner_bytes = result.inner_rack_bytes;
     }
@@ -215,6 +269,29 @@ int main(int argc, char** argv) {
     runs.push_back(chain_f.simulate("sim-chained14", chained14, slice));
   }
 
+  // -------- Part 3: pacing off, RPR (12,4) star at 16 MiB blocks.
+  Fixture fast_f({12, 4}, rpr::topology::PlacementPolicy::kRpr, kFastBlock);
+  const auto fast_plan = fast_f.plan(rpr::repair::Scheme::kRpr);
+  const auto fast_net = rpr::runtime::RegionNet::uniform(
+      fast_f.placed.cluster.racks(), rpr::util::Bandwidth::gbps(kFastGbps),
+      rpr::util::Bandwidth::gbps(kFastGbps));
+  {
+    rpr::runtime::TestbedParams p;
+    p.net = fast_net;
+    p.decode_matrix_dim = 12;
+    p.slice_size = kFastSlice;
+    rpr::runtime::Testbed bed(fast_f.placed.cluster, p);
+    runs.push_back(fast_f.measure_unpaced("testbed-nopace", fast_plan, bed));
+  }
+  {
+    rpr::net::TcpRuntimeParams p;
+    p.net = fast_net;
+    p.decode_matrix_dim = 12;
+    p.slice_size = kFastSlice;
+    rpr::net::TcpRuntime tcp(fast_f.placed.cluster, p);
+    runs.push_back(fast_f.measure_unpaced("tcp-nopace", fast_plan, tcp));
+  }
+
   // Speedups: star engines against their own whole-block row; chained rows
   // against the whole-block *star* on the same engine (the pre-chained
   // schedule — a chain run whole-block is strictly worse, and the row
@@ -229,19 +306,25 @@ int main(int argc, char** argv) {
     double base = whole_of(r.engine.c_str());
     if (r.engine == "testbed-chained14") base = star14_whole;
     if (r.engine == "sim-chained14") base = sim_star14_whole;
-    r.speedup = base / r.wall_s;
+    r.speedup = base / r.wall_s;  // 0 for the pacing-off rows (no baseline)
   }
 
   std::printf(
       "Slice-pipelined repair — star: RPR (12,4), 64 MiB block; chained: "
       "RS(14,10)\nflat placement, 32 MiB block. 1 Gb/s inner / 0.1 Gb/s "
       "cross, best of %d\n(chained rows: speedup vs the whole-block star on "
-      "the same engine)\n\n",
-      kReps);
-  rpr::util::TextTable t({"engine", "slice", "wall (s)", "speedup"});
+      "the same engine)\n*-nopace: (12,4) star, 16 MiB block, 1000 Gb/s "
+      "links, best of %d\n\n",
+      kReps, kFastReps);
+  rpr::util::TextTable t({"engine", "slice", "wall (s)", "speedup",
+                          "read (s)", "repair/read"});
   for (const Run& r : runs) {
+    const bool unpaced = r.read_s > 0.0;
     t.add_row({r.engine, slice_name(r.slice_size),
-               rpr::util::fmt(r.wall_s, 3), rpr::util::fmt(r.speedup, 2)});
+               rpr::util::fmt(r.wall_s, 3),
+               unpaced ? "-" : rpr::util::fmt(r.speedup, 2),
+               unpaced ? rpr::util::fmt(r.read_s, 4) : "-",
+               unpaced ? rpr::util::fmt(r.wall_s / r.read_s, 2) : "-"});
   }
   std::printf("%s\n", t.render().c_str());
 
@@ -283,23 +366,38 @@ int main(int argc, char** argv) {
                  "    \"cross_gbps\": 0.1,\n"
                  "    \"time_scale\": %.1f,\n"
                  "    \"chained_time_scale\": %.1f,\n"
-                 "    \"reps\": %d\n  },\n  \"benchmarks\": [\n",
+                 "    \"reps\": %d,\n"
+                 "    \"nopace\": \"(12,4) rpr placement, %llu MiB block, "
+                 "%.0f Gb/s links\",\n"
+                 "    \"nopace_reps\": %d\n  },\n  \"benchmarks\": [\n",
                  date, static_cast<unsigned long long>(kBlock >> 20),
                  static_cast<unsigned long long>(kChainBlock >> 20),
-                 kTimeScale, kChainTimeScale, kReps);
+                 kTimeScale, kChainTimeScale, kReps,
+                 static_cast<unsigned long long>(kFastBlock >> 20), kFastGbps,
+                 kFastReps);
     for (std::size_t i = 0; i < runs.size(); ++i) {
       const Run& r = runs[i];
+      char ratio[160];
+      if (r.read_s > 0.0) {
+        std::snprintf(ratio, sizeof ratio,
+                      "      \"read_s\": %.6f,\n"
+                      "      \"repair_over_read\": %.4f,\n",
+                      r.read_s, r.wall_s / r.read_s);
+      } else {
+        std::snprintf(ratio, sizeof ratio,
+                      "      \"speedup_vs_whole\": %.4f,\n", r.speedup);
+      }
       std::fprintf(out,
                    "    {\n"
                    "      \"name\": \"pipeline/%s/slice:%zu\",\n"
                    "      \"engine\": \"%s\",\n"
                    "      \"slice_size\": %zu,\n"
                    "      \"wall_s\": %.6f,\n"
-                   "      \"speedup_vs_whole\": %.4f,\n"
+                   "%s"
                    "      \"cross_rack_bytes\": %llu,\n"
                    "      \"inner_rack_bytes\": %llu\n    }%s\n",
                    r.engine.c_str(), r.slice_size, r.engine.c_str(),
-                   r.slice_size, r.wall_s, r.speedup,
+                   r.slice_size, r.wall_s, ratio,
                    static_cast<unsigned long long>(r.cross_bytes),
                    static_cast<unsigned long long>(r.inner_bytes),
                    i + 1 == runs.size() ? "" : ",");

@@ -191,6 +191,7 @@ void xor_region(std::span<std::uint8_t> dst,
 void mul_region(std::uint8_t c, std::span<std::uint8_t> dst,
                 std::span<const std::uint8_t> src) {
   assert(dst.size() == src.size());
+  if (dst.empty()) return;  // an empty span may carry a null data()
   if (c == 0) {
     std::memset(dst.data(), 0, dst.size());
     return;

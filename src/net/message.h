@@ -59,7 +59,7 @@ struct ReceivedValue {
 
 /// A validated frame header; the payload (payload_len bytes) is still on
 /// the wire, to be drained by the caller — typically straight into the op's
-/// pre-sized accumulator, which is what lets the receiver skip the
+/// value buffer, which is what lets the receiver skip the
 /// per-message scratch buffer recv_value allocates.
 struct ValueHeader {
   std::uint64_t op_id = 0;

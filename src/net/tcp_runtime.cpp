@@ -271,7 +271,7 @@ runtime::TestbedResult TcpRuntime::execute(const RepairPlan& plan,
           // Reads are local and instant: materialize the whole value, all
           // slices become available at once.
           Block& out = state.storage(id);
-          gf::mul_region_add(op.coeff, out, src);
+          gf::mul_region(op.coeff, out, src);
           state.publish_all(id);
         }
         break;
@@ -481,7 +481,7 @@ runtime::TestbedResult TcpRuntime::execute(const RepairPlan& plan,
         }
         op_start = runtime::detail::TraceClock::now();
         // Stable once slice 0 published: slice-mode producers stream into
-        // a pre-sized accumulator that is never reallocated.
+        // a value buffer that is never reallocated.
         const std::uint8_t* src = state.value[op.inputs[0]].data();
 
         bool sent = false;
@@ -688,7 +688,7 @@ runtime::TestbedResult TcpRuntime::execute(const RepairPlan& plan,
   };
 
   // Ingests one sliced frame whose header has been read: drains
-  // slice-sized chunks straight into the op's accumulator and publishes
+  // slice-sized chunks straight into the op's value buffer and publishes
   // each one. A resumed (retried) stream re-reads the published prefix
   // into scratch — those regions are concurrently read by consumers and
   // must not be rewritten, and the resent bytes are content-identical
@@ -742,14 +742,14 @@ runtime::TestbedResult TcpRuntime::execute(const RepairPlan& plan,
   // Ingests one whole-value frame (whole-block mode, odd-sized values,
   // and duplicates in either mode). The per-op lock serializes a retried
   // delivery against the original so two connections never write one
-  // accumulator concurrently; publish stays first-wins. Returns false
+  // value buffer concurrently; publish stays first-wins. Returns false
   // when the connection desynced and must be closed.
   auto ingest_whole_frame = [&](topology::NodeId n, Socket& peer,
                                 const ValueHeader& h) -> bool {
     std::scoped_lock op_lock(ingest_mu[h.op_id]);
     if (h.payload_len == state.value_size() && !state.resolved(h.op_id)) {
       // The common case: read the payload straight into the op's
-      // pre-sized accumulator — no per-message scratch buffer.
+      // value buffer — no per-message scratch buffer.
       Block& out = state.storage(h.op_id);
       try {
         peer.read_exact(out);

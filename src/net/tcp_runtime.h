@@ -77,7 +77,7 @@ struct TcpRuntimeParams {
   /// Slice-pipelined streaming: a sender writes one frame header and then
   /// streams the payload in units of this many bytes as its input's slices
   /// publish; the receiver ingests each slice straight into the op's
-  /// pre-sized accumulator and publishes it immediately, so downstream
+  /// value buffer and publishes it immediately, so downstream
   /// combines/sends overlap with the transfer. Each op then runs on its own
   /// thread and a receiving node ingests connections concurrently (one
   /// ingest thread per connection); the sender's TX port stays serialized

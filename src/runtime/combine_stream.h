@@ -2,14 +2,17 @@
 // executors (runtime::Testbed and net::TcpRuntime).
 //
 // A combine consumes one slice from every input as soon as all of them
-// published it, accumulates into the op's pre-sized buffer, and publishes
-// the result slice immediately — downstream sends start forwarding while
-// later slices are still being computed. The optimized path runs one fused
-// multi-source pass per slice, sharded across the process thread pool
+// published it, writes the combined slice over the op's pooled value
+// buffer (which arrives holding a previous run's bytes — see
+// exec_state.h), and publishes the result slice immediately — downstream
+// sends start forwarding while later slices are still being computed. The
+// optimized path runs one fused multi-source overwrite pass per slice (a
+// one-row gf::encode_regions), sharded across the process thread pool
 // (util::ThreadPool) so wide combines are no longer pinned to the node's
 // single worker; the matrix-cost path deliberately keeps the per-source
-// general multiply passes (the paper's unoptimized-decoder cost model) and
-// is not sharded, so its measured cost stays comparable across PRs.
+// general multiply passes (the paper's unoptimized-decoder cost model)
+// over a cleared slice and is not sharded, so its measured cost stays
+// comparable over time.
 //
 // Whole-block mode is the one-slice degenerate case: a single wait on all
 // inputs, one fused pass — which also fixes the historical behavior of
@@ -19,6 +22,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -88,6 +92,7 @@ bool stream_combine(ExecState& state, const repair::PlanOp& op,
       srcs[i] = state.value[op.inputs[i]].data() + off;
     }
     if (op.with_matrix_cost) {
+      std::memset(out.data() + off, 0, len);
       for (std::size_t i = 0; i < nin; ++i) {
         gf::mul_region_add_general(coeffs[i], {out.data() + off, len},
                                    {srcs[i], len});
@@ -97,8 +102,8 @@ bool stream_combine(ExecState& state, const repair::PlanOp& op,
           len, 64, 32 << 10, [&](std::size_t b, std::size_t e) {
             std::vector<const std::uint8_t*> sub(nin);
             for (std::size_t i = 0; i < nin; ++i) sub[i] = srcs[i] + b;
-            gf::mul_region_add_multi({coeffs.data(), nin}, sub.data(),
-                                     {out.data() + off + b, e - b});
+            std::uint8_t* dst = out.data() + off + b;
+            gf::encode_regions(coeffs, 1, nin, sub.data(), &dst, e - b);
           });
     }
     metrics.combine_slice(

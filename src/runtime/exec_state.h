@@ -9,9 +9,17 @@
 // lands instead of buffering the whole intermediate. This header carries
 // the state machine both engines share:
 //
-//  * every op value is one pre-sized accumulator buffer, allocated lazily
-//    by its producer and never reallocated afterwards — consumers read
-//    published regions by reference (no per-message scratch copies);
+//  * every op value is one value-sized buffer handed to its producer by
+//    storage() and never reallocated afterwards — consumers read published
+//    regions by reference (no per-message scratch copies);
+//  * the value plane is pooled and overwrite-only: storage() draws from
+//    the process-wide BlockPool, so a buffer arrives holding a previous
+//    run's bytes, and every producer overwrites its whole value (reads and
+//    combines with the overwriting GF kernels, sends and TCP ingest by
+//    copy). Nothing is zero-filled, and a warm repair faults in no pages;
+//  * the pool retains buffers of the most recently used value size only,
+//    and never more than the most one ExecState has held at that size —
+//    retained memory is bounded by one repair's peak;
 //  * slices complete strictly in order per op (each op has exactly one
 //    producer thread), so per-op progress is a single counter;
 //  * publication is mutex-protected: a consumer that observed
@@ -25,6 +33,7 @@
 // on this state keep their historical store-and-forward behavior there.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -45,6 +54,81 @@ namespace rpr::runtime {
 // cuts values identically; re-exported here for the engine params' defaults.
 using util::default_slice_size;
 using util::slice_count;
+
+/// Process-wide recycler of value buffers for ExecState (see file
+/// comment). A buffer handed out by take() holds arbitrary bytes; callers
+/// overwrite it. The mutex is a leaf lock: no other lock is held while it
+/// is taken and none is taken under it; buffers are allocated and freed
+/// outside it.
+class BlockPool {
+ public:
+  /// The process-wide pool, created on first use.
+  static BlockPool& shared() {
+    static BlockPool pool;
+    return pool;
+  }
+
+  /// A `size`-byte buffer: a retained one when available, else a fresh
+  /// allocation. Requesting a new size drops every retained buffer.
+  rs::Block take(std::size_t size) {
+    std::vector<rs::Block> stale;
+    {
+      std::scoped_lock lock(mu_);
+      resize_locked(size, stale);
+      if (!free_.empty()) {
+        rs::Block b = std::move(free_.back());
+        free_.pop_back();
+        return b;
+      }
+    }
+    return rs::Block(size);
+  }
+
+  /// Takes back the `size`-byte buffers among `values` (one ExecState's
+  /// values; others stay where they are). The pool keeps no more buffers
+  /// than the most any one ExecState has held at this size — the retention
+  /// bound — so a small run between two repairs does not shrink it. A size
+  /// other than the retained one counts as a request: a whole-block run
+  /// never calls take(), yet must not leave a larger size's buffers pinned.
+  void give(std::vector<rs::Block>& values, std::size_t size) {
+    if (size == 0) return;
+    std::size_t held = 0;
+    for (const rs::Block& v : values) held += v.size() == size ? 1U : 0U;
+    std::vector<rs::Block> stale;
+    std::scoped_lock lock(mu_);
+    resize_locked(size, stale);
+    cap_ = std::max(cap_, held);
+    for (rs::Block& v : values) {
+      if (free_.size() >= cap_) break;
+      if (v.size() == size) free_.push_back(std::move(v));
+    }
+  }
+
+  /// Bytes currently retained, and how many buffers hold them.
+  [[nodiscard]] std::size_t retained_bytes() {
+    std::scoped_lock lock(mu_);
+    return free_.size() * size_;
+  }
+  [[nodiscard]] std::size_t retained_buffers() {
+    std::scoped_lock lock(mu_);
+    return free_.size();
+  }
+
+ private:
+  /// Switches the pool to `size`, moving the old size's buffers to `stale`
+  /// (freed by the caller after unlocking).
+  void resize_locked(std::size_t size, std::vector<rs::Block>& stale) {
+    if (size == size_) return;
+    stale.swap(free_);
+    size_ = size;
+    cap_ = 0;
+  }
+
+  check::Mutex mu_{"exec.pool"};
+  std::size_t size_ = 0;
+  std::size_t cap_ = 0;  // most buffers one ExecState held at size_
+  std::vector<rs::Block> free_;
+};
 
 namespace detail {
 
@@ -111,6 +195,12 @@ class ExecState {
         value_size_(value_size),
         slice_size_(slice_size == 0 ? value_size : slice_size),
         slices_(slice_count(value_size, slice_size)) {}
+  ExecState(const ExecState&) = delete;
+  ExecState& operator=(const ExecState&) = delete;
+  /// Returns every value-sized buffer to the pool. Engines own their state
+  /// on the calling thread, never a checked one, so the pool lock cannot
+  /// throw check::AbortRun out of this destructor.
+  ~ExecState() { BlockPool::shared().give(value, value_size_); }
 
   /// Slices every value is cut into (1 = whole-block mode).
   [[nodiscard]] std::size_t slices() const noexcept { return slices_; }
@@ -128,12 +218,16 @@ class ExecState {
                : (s + 1 == slices_ ? value_size_ - off : slice_size_);
   }
 
-  /// The op's accumulator buffer, sized on first call. Only the op's
-  /// producer may call this before publication; the returned reference
-  /// (and the buffer's data pointer) is stable for the run.
+  /// The op's value buffer, drawn from the pool on first call with
+  /// arbitrary contents: the producer must overwrite every slice it
+  /// publishes. Only the op's producer may call this before publication;
+  /// the returned reference (and the buffer's data pointer) is stable for
+  /// the run.
   rs::Block& storage(repair::OpId id) {
+    rs::Block fresh;
+    if (value_size_ != 0) fresh = BlockPool::shared().take(value_size_);
     std::unique_lock lock(mu);
-    if (value[id].size() != value_size_) value[id].assign(value_size_, 0);
+    if (value[id].size() != value_size_) value[id].swap(fresh);
     return value[id];
   }
 
@@ -228,7 +322,7 @@ class ExecState {
 
   /// Publishes a complete value in one step (whole-block producers, and a
   /// sliced sender's retry path publishing a fully materialized value).
-  /// When the accumulator was pre-sized by storage(), the bytes are copied
+  /// When the value buffer was sized by storage(), the bytes are copied
   /// into it rather than move-replacing the vector: a concurrent slice
   /// consumer may hold the buffer's data() pointer across this call (the
   /// class contract says it is stable for the run), so the buffer must

@@ -238,7 +238,7 @@ TestbedResult Testbed::execute(const RepairPlan& plan,
           // Reads are local and instant: materialize the whole value, all
           // slices become available at once.
           Block& out = state.storage(id);
-          gf::mul_region_add(op.coeff, out, src);
+          gf::mul_region(op.coeff, out, src);
           state.publish_all(id);
         }
         break;

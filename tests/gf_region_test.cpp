@@ -1,13 +1,15 @@
 // Region-kernel tests: every dispatch tier the CPU supports is cross-
 // checked against the scalar reference (gf::ref::) over sizes that exercise
 // the vector main loops, sub-vector tails, unaligned offsets, exact
-// aliasing, and all 256 coefficients; plus dispatch-selection tests for
-// RPR_GF_FORCE / set_tier.
+// aliasing, all 256 coefficients, and overwrites of dirty destinations;
+// plus dispatch-selection tests for RPR_GF_FORCE / set_tier.
 #include "gf/gf_region.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -149,6 +151,59 @@ TEST_P(RegionTierTest, MulRegionMatchesMulAddOnZeroedDst) {
       gf::mul_region(c, a, src);
       gf::mul_region_add(c, b, src);
       ASSERT_EQ(a, b) << "c=" << int(c) << " n=" << n;
+    }
+  }
+}
+
+// The engines' value buffers are pooled and never cleared (a reused buffer
+// holds a previous repair's bytes), so the overwriting kernels must ignore
+// whatever the destination held.
+TEST_P(RegionTierTest, MulRegionOverwritesDirtyDst) {
+  const std::uint8_t coeffs[] = {0, 1, 7, 0xC3};
+  for (const std::size_t n : kSizes) {
+    const auto src = random_buf(n, 17);
+    for (const std::uint8_t c : coeffs) {
+      std::vector<std::uint8_t> dst(n, 0xAB);
+      std::vector<std::uint8_t> expect(n, 0);
+      gf::mul_region(c, dst, src);
+      gf::ref::mul_region_add(c, expect, src);
+      ASSERT_EQ(dst, expect) << "c=" << int(c) << " n=" << n;
+    }
+  }
+}
+
+TEST_P(RegionTierTest, OneRowEncodeOverwritesDirtyDst) {
+  // The streaming combine's shapes: fan-in 1 and 2, an all-unit XOR
+  // combine, and a zero coefficient among live ones; at every size and at
+  // misaligned destination/source starts.
+  const std::vector<std::vector<std::uint8_t>> shapes = {
+      {0x8E}, {1}, {0x1D, 0xC3}, {1, 1, 1, 1}, {0x57, 0, 1}};
+  for (const auto& coeffs : shapes) {
+    const std::size_t k = coeffs.size();
+    for (const std::size_t n : kSizes) {
+      for (const std::size_t doff : {0u, 1u, 13u}) {
+        for (const std::size_t soff : {0u, 5u}) {
+          std::vector<std::vector<std::uint8_t>> data;
+          std::vector<const std::uint8_t*> srcs;
+          for (std::size_t j = 0; j < k; ++j) {
+            data.push_back(random_buf(n + soff, 30 + j));
+            srcs.push_back(data.back().data() + soff);
+          }
+          std::vector<std::uint8_t> out(n + doff, 0xAB);
+          std::uint8_t* dst = out.data() + doff;
+          gf::encode_regions(coeffs, 1, k, srcs.data(), &dst, n);
+
+          std::vector<std::uint8_t> expect(n + doff, 0xAB);
+          std::fill(expect.begin() + static_cast<std::ptrdiff_t>(doff),
+                    expect.end(), std::uint8_t{0});
+          gf::ref::mul_region_add_multi(
+              coeffs, srcs.data(),
+              std::span<std::uint8_t>(expect).subspan(doff, n));
+          ASSERT_EQ(out, expect) << "k=" << k << " c0=" << int(coeffs[0])
+                                 << " n=" << n << " doff=" << doff
+                                 << " soff=" << soff;
+        }
+      }
     }
   }
 }

@@ -2,11 +2,17 @@
 // engine, byte-identical rebuilds under slicing on the threaded testbed and
 // the TCP loopback runtime (odd tails, slice == block, slice > block), the
 // simulator's slice-overlap lowering (traffic invariant, chained-plan
-// makespan collapse) on both the port and fluid models, and the per-phase
-// slice metrics emitted by the obs probe.
+// makespan collapse) on both the port and fluid models, the per-phase
+// slice metrics emitted by the obs probe, and the pooled value buffers
+// (byte-exact reuse across interleaved plans and after an aborted run, and
+// the pool's retention bound).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "net/tcp_runtime.h"
@@ -14,6 +20,8 @@
 #include "repair/executor_data.h"
 #include "repair/executor_sim.h"
 #include "repair/planner.h"
+#include "repair/resilient.h"
+#include "runtime/exec_state.h"
 #include "runtime/testbed.h"
 #include "test_support.h"
 #include "topology/placement.h"
@@ -333,4 +341,199 @@ TEST(SlicedSimnet, WholeBlockSliceSizeIsIdentityLowering) {
   EXPECT_EQ(result.cross_rack_bytes, base.cross_rack_bytes);
   EXPECT_EQ(result.cross_rack_transfers, base.cross_rack_transfers);
   EXPECT_EQ(result.inner_rack_transfers, base.inner_rack_transfers);
+}
+
+// --- pooled value buffers -------------------------------------------------
+//
+// Both engines draw op values from the process-wide BlockPool and never
+// clear them, so every run below reuses buffers that still hold another
+// plan's bytes. Each output must still match the data executor exactly.
+
+namespace {
+
+using rpr::repair::Scheme;
+using rpr::runtime::BlockPool;
+using rpr::topology::NodeId;
+
+/// A code on its placed cluster.
+struct PlacedCode {
+  rpr::rs::RSCode code;
+  rpr::topology::PlacedStripe placed;
+
+  PlacedCode(rpr::rs::CodeConfig cfg, rpr::topology::PlacementPolicy policy)
+      : code(cfg), placed(rpr::topology::make_placed_stripe(cfg, policy)) {}
+};
+
+/// One planned repair over a random stripe, with its reference rebuild.
+struct ReuseCase {
+  std::string name;
+  const PlacedCode* pc;
+  std::vector<Block> stripe;
+  RepairProblem problem;
+  rpr::repair::PlannedRepair planned;
+  std::vector<Block> expected;
+};
+
+ReuseCase reuse_case(std::string name, const PlacedCode& pc, Scheme scheme,
+                     std::size_t lost, std::size_t block_size,
+                     std::uint64_t seed) {
+  ReuseCase c{std::move(name), &pc, {}, {}, {}, {}};
+  c.stripe = rpr::testing::random_stripe(pc.code, block_size, seed);
+  c.problem.code = &pc.code;
+  c.problem.placement = &pc.placed.placement;
+  c.problem.block_size = block_size;
+  c.problem.failed = {lost};
+  c.problem.choose_default_replacements();
+  c.planned = rpr::repair::make_planner(scheme)->plan(c.problem);
+  c.expected = rpr::repair::execute_on_data(c.planned.plan, c.planned.outputs,
+                                            c.stripe);
+  return c;
+}
+
+/// Runs RPR star (data and parity loss) and traditional (the matrix-cost
+/// combine) on RS(6,3), and the chained schedule on RS(14,10), at two odd
+/// block sizes, whole-block and 64 KiB slices, twice over. One engine per
+/// cluster and slice setting serves every run.
+template <typename Engine, typename Params>
+void expect_byte_exact_reuse(const Params& base) {
+  const PlacedCode rs63({6, 3}, rpr::topology::PlacementPolicy::kRpr);
+  const PlacedCode rs1410({14, 10}, rpr::topology::PlacementPolicy::kFlat);
+  std::vector<ReuseCase> cases;
+  std::uint64_t seed = 100;
+  for (const std::size_t block : {std::size_t{100000}, std::size_t{300000}}) {
+    cases.push_back(reuse_case("rpr data loss", rs63, Scheme::kRpr, 0, block,
+                               ++seed));
+    cases.push_back(reuse_case("rpr parity loss", rs63, Scheme::kRpr, 6,
+                               block, ++seed));
+    cases.push_back(reuse_case("chained RS(14,10)", rs1410,
+                               Scheme::kRprChained, 0, block, ++seed));
+    cases.push_back(reuse_case("traditional", rs63, Scheme::kTraditional, 0,
+                               block, ++seed));
+  }
+  std::map<std::pair<const PlacedCode*, std::size_t>, std::unique_ptr<Engine>>
+      engines;
+  for (int round = 0; round < 2; ++round) {
+    for (const ReuseCase& c : cases) {
+      for (const std::size_t slice : {std::size_t{0}, std::size_t{64} << 10}) {
+        std::unique_ptr<Engine>& engine = engines[{c.pc, slice}];
+        if (!engine) {
+          Params p = base;
+          p.net = RegionNet::uniform(c.pc->placed.cluster.racks(),
+                                     Bandwidth::gbps(10), Bandwidth::gbps(1));
+          p.decode_matrix_dim = c.pc->code.config().n;
+          p.slice_size = slice;
+          engine = std::make_unique<Engine>(c.pc->placed.cluster, p);
+        }
+        const auto result =
+            engine->execute(c.planned.plan, c.planned.outputs, c.stripe);
+        ASSERT_FALSE(result.abort.has_value()) << c.name;
+        ASSERT_EQ(result.outputs, c.expected)
+            << c.name << ", block " << c.stripe[0].size() << ", slice "
+            << slice << ", round " << round;
+      }
+    }
+  }
+  EXPECT_GT(BlockPool::shared().retained_buffers(), 0u);
+}
+
+/// One execute aborted by a helper killed mid-stream, then a resilient
+/// re-plan on the same engine: the re-plan draws the buffers the aborted
+/// run left half-written and must still rebuild the block byte-exact.
+template <typename Engine, typename Params>
+void expect_byte_exact_after_abort(Params p) {
+  const PlacedCode pc({6, 3}, rpr::topology::PlacementPolicy::kRpr);
+  const ReuseCase c =
+      reuse_case("rpr data loss", pc, Scheme::kRpr, 0, 1 << 20, 77);
+  NodeId victim = rpr::fault::kNoNode;
+  for (const auto& op : c.planned.plan.ops) {
+    if (op.kind != rpr::repair::OpKind::kSend) continue;
+    const NodeId from = c.planned.plan.node_of(op.inputs[0]);
+    if (pc.placed.cluster.rack_of(from) != pc.placed.cluster.rack_of(op.node)) {
+      victim = from;  // its 1 MiB cross stream lasts >= 8 ms at 1 Gb/s
+      break;
+    }
+  }
+  ASSERT_NE(victim, rpr::fault::kNoNode);
+  p.net = RegionNet::uniform(pc.placed.cluster.racks(), Bandwidth::gbps(10),
+                             Bandwidth::gbps(1));
+  p.decode_matrix_dim = 6;
+  p.slice_size = 64 << 10;
+  p.faults.kills.push_back({victim, 0.002});
+  p.retry.base_backoff_s = 0.001;
+  Engine engine(pc.placed.cluster, p);
+
+  const auto aborted =
+      engine.execute(c.planned.plan, c.planned.outputs, c.stripe);
+  ASSERT_TRUE(aborted.abort.has_value());
+  EXPECT_GT(BlockPool::shared().retained_buffers(), 0u);
+
+  const auto planner = rpr::repair::make_planner(Scheme::kRpr);
+  const auto outcome = rpr::repair::execute_resilient_with(
+      engine, c.problem, *planner, c.stripe, {});
+  ASSERT_EQ(outcome.outputs.size(), 1u);
+  EXPECT_EQ(outcome.outputs[0], c.stripe[0]);
+  EXPECT_GE(outcome.replans, 1u);
+}
+
+}  // namespace
+
+TEST(SlicedTestbed, PooledBuffersByteExactAcrossInterleavedPlans) {
+  TestbedParams p;
+  p.time_scale = 256.0;
+  expect_byte_exact_reuse<Testbed>(p);
+}
+
+TEST(SlicedTcp, PooledBuffersByteExactAcrossInterleavedPlans) {
+  rpr::net::TcpRuntimeParams p;
+  p.time_scale = 256.0;
+  expect_byte_exact_reuse<rpr::net::TcpRuntime>(p);
+}
+
+TEST(SlicedTestbed, ReplanAfterAbortReusesDirtyBuffersByteExact) {
+  expect_byte_exact_after_abort<Testbed>(TestbedParams{});
+}
+
+TEST(SlicedTcp, ReplanAfterAbortReusesDirtyBuffersByteExact) {
+  rpr::net::TcpRuntimeParams p;
+  p.retry.op_deadline_s = 5.0;  // dead peers error out fast
+  expect_byte_exact_after_abort<rpr::net::TcpRuntime>(p);
+}
+
+TEST(SlicedTestbed, PoolRetainsOnlyTheLatestSizeWithinOneRunsCount) {
+  // 16 MiB runs, then 1 MiB runs: the pool must let go of every 16 MiB
+  // buffer and keep no more 1 MiB buffers than one run held. With 1 MiB
+  // slices the 1 MiB runs are whole-block and never draw from the pool;
+  // returning their values must still evict the larger buffers.
+  const PlacedCode pc({6, 3}, rpr::topology::PlacementPolicy::kRpr);
+  TestbedParams p = fast_testbed(pc.placed.cluster.racks());
+  p.slice_size = 1 << 20;
+  Testbed bed(pc.placed.cluster, p);
+  std::size_t ops = 0;
+  for (const std::size_t block : {std::size_t{16} << 20, std::size_t{1} << 20}) {
+    const ReuseCase c =
+        reuse_case("rpr data loss", pc, Scheme::kRpr, 0, block, block);
+    ops = c.planned.plan.ops.size();
+    for (int run = 0; run < 2; ++run) {
+      const auto result =
+          bed.execute(c.planned.plan, c.planned.outputs, c.stripe);
+      ASSERT_EQ(result.outputs, c.expected) << "block " << block;
+      EXPECT_LE(BlockPool::shared().retained_buffers(), ops);
+    }
+  }
+  const std::size_t kept = BlockPool::shared().retained_buffers();
+  EXPECT_GT(kept, 0u);
+  EXPECT_LE(kept, ops);
+  EXPECT_EQ(BlockPool::shared().retained_bytes(), kept << 20);
+
+  // A two-op run at the same size (one block read) must not shrink the
+  // pool below what the repairs need.
+  const ReuseCase c = reuse_case("read", pc, Scheme::kRpr, 0, 1 << 20, 5);
+  rpr::repair::RepairPlan read;
+  read.block_size = 1 << 20;
+  const NodeId src = pc.placed.placement.node_of(1);
+  const NodeId dest = c.problem.replacements[0];
+  const OpId read_out[] = {read.send(read.read(src, 1, 1), src, dest)};
+  const auto got = bed.execute(read, read_out, c.stripe);
+  ASSERT_EQ(got.outputs[0], c.stripe[1]);
+  EXPECT_EQ(BlockPool::shared().retained_buffers(), kept);
 }
