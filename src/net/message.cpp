@@ -1,8 +1,6 @@
 #include "net/message.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 namespace rpr::net {
 
@@ -18,7 +16,8 @@ void send_header(Socket& sock, std::uint64_t op_id,
 
 bool send_payload_chunk(Socket& sock, std::span<const std::uint8_t> payload,
                         std::size_t pace_chunk, std::uint64_t chunk_delay_ns,
-                        const std::function<bool()>& cancel) {
+                        const std::function<bool()>& cancel,
+                        util::Pacer* pacer) {
   if (pace_chunk == 0 && !cancel) {
     sock.write_all(payload);
     return true;
@@ -26,15 +25,20 @@ bool send_payload_chunk(Socket& sock, std::span<const std::uint8_t> payload,
   // Chunked streaming: cancellation needs chunk boundaries even when no
   // pacing was requested.
   const std::size_t chunk = pace_chunk != 0 ? pace_chunk : (64u << 10);
+  const double s_per_byte =
+      pace_chunk != 0 ? static_cast<double>(chunk_delay_ns) * 1e-9 /
+                            static_cast<double>(pace_chunk)
+                      : 0.0;
+  util::Pacer own;
+  util::Pacer& pace = pacer != nullptr ? *pacer : own;
+  if (s_per_byte > 0.0) pace.begin();
   std::size_t off = 0;
   while (off < payload.size()) {
     if (cancel && cancel()) return false;
     const std::size_t len = std::min(chunk, payload.size() - off);
     sock.write_all(payload.subspan(off, len));
     off += len;
-    if (chunk_delay_ns != 0) {
-      std::this_thread::sleep_for(std::chrono::nanoseconds(chunk_delay_ns));
-    }
+    if (s_per_byte > 0.0) pace.advance(static_cast<double>(len) * s_per_byte);
   }
   return true;
 }

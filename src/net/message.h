@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "net/socket.h"
+#include "util/pacer.h"
 
 namespace rpr::net {
 
@@ -27,8 +28,10 @@ struct MessageHeader {
 static_assert(sizeof(MessageHeader) == 24);
 
 /// Sends one value; `pace_chunk` and `chunk_delay_ns` implement sender-side
-/// bandwidth shaping (wondershaper's role in the paper's setup): after each
-/// `pace_chunk` bytes the sender sleeps `chunk_delay_ns`. A non-empty
+/// bandwidth shaping (wondershaper's role in the paper's setup): the stream
+/// runs at `pace_chunk` bytes per `chunk_delay_ns`, the sender sleeping
+/// after each chunk until the bytes written so far are due (util::Pacer —
+/// deadline pacing, so timer overshoot does not slow the stream). A non-empty
 /// `cancel` callback is polled between chunks (chunked sending is then
 /// forced even without pacing); returning true abandons the stream
 /// mid-payload — send_value returns false and the receiver sees a short
@@ -45,12 +48,15 @@ void send_header(Socket& sock, std::uint64_t op_id, std::uint64_t payload_len);
 
 /// Streams one contiguous piece of a message payload already framed by
 /// send_header, with the same pacing/cancellation contract as send_value.
-/// Returns false iff `cancel` fired (the stream is then abandoned
-/// mid-payload and the socket must be discarded).
+/// A stream sent in several pieces passes one `pacer` to every call, so
+/// lateness in one piece is repaid in the next; without one, each call is
+/// paced on its own. Returns false iff `cancel` fired (the stream is then
+/// abandoned mid-payload and the socket must be discarded).
 bool send_payload_chunk(Socket& sock, std::span<const std::uint8_t> payload,
                         std::size_t pace_chunk = 0,
                         std::uint64_t chunk_delay_ns = 0,
-                        const std::function<bool()>& cancel = {});
+                        const std::function<bool()>& cancel = {},
+                        util::Pacer* pacer = nullptr);
 
 struct ReceivedValue {
   std::uint64_t op_id = 0;

@@ -30,6 +30,26 @@ namespace {
   return addr;
 }
 
+/// Polls `fd` (and `wake`, when >= 0) for readability for up to
+/// `timeout_s`; true iff `fd` is readable.
+bool poll_with_wake(int fd, double timeout_s, int wake, const char* what) {
+  ::pollfd pfd[2]{};
+  pfd[0].fd = fd;
+  pfd[0].events = POLLIN;
+  pfd[1].fd = wake;
+  pfd[1].events = POLLIN;
+  const ::nfds_t n = wake >= 0 ? 2 : 1;
+  const int timeout_ms = std::max(1, static_cast<int>(timeout_s * 1e3));
+  for (;;) {
+    const int rc = ::poll(pfd, n, timeout_ms);
+    if (rc < 0) {
+      if (errno == EINTR) continue;
+      fail(what);
+    }
+    return rc > 0 && pfd[0].revents != 0;
+  }
+}
+
 }  // namespace
 
 Socket::~Socket() { close(); }
@@ -100,20 +120,9 @@ void Socket::set_recv_timeout(double seconds) {
   }
 }
 
-bool Socket::poll_readable(double timeout_s) {
-  ::pollfd pfd{};
-  pfd.fd = fd_;
-  pfd.events = POLLIN;
-  const int timeout_ms = std::max(1, static_cast<int>(timeout_s * 1e3));
-  for (;;) {
-    const int rc = ::poll(&pfd, 1, timeout_ms);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      fail("poll(read)");
-    }
-    // POLLHUP/POLLERR also count: the next read surfaces the condition.
-    return rc > 0;
-  }
+bool Socket::poll_readable(double timeout_s, int wake) {
+  // POLLHUP/POLLERR also count: the next read surfaces the condition.
+  return poll_with_wake(fd_, timeout_s, wake, "poll(read)");
 }
 
 Listener::Listener() {
@@ -146,20 +155,34 @@ Socket Listener::accept() {
   }
 }
 
-Socket Listener::accept(double timeout_s) {
-  ::pollfd pfd{};
-  pfd.fd = sock_.fd();
-  pfd.events = POLLIN;
-  const int timeout_ms = std::max(1, static_cast<int>(timeout_s * 1e3));
-  for (;;) {
-    const int rc = ::poll(&pfd, 1, timeout_ms);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      fail("poll(accept)");
-    }
-    if (rc == 0) return Socket{};  // timeout
-    return accept();  // a connection is pending: cannot block
+Socket Listener::accept(double timeout_s, int wake) {
+  if (!poll_with_wake(sock_.fd(), timeout_s, wake, "poll(accept)")) {
+    return Socket{};  // timeout or wake-up
   }
+  return accept();  // a connection is pending: cannot block
+}
+
+WakeFd::WakeFd() {
+  int fds[2];
+  if (::pipe(fds) != 0) fail("pipe");
+  read_fd_ = fds[0];
+  write_fd_ = fds[1];
+  for (const int fd : fds) {
+    ::fcntl(fd, F_SETFD, FD_CLOEXEC);
+    ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK);
+  }
+}
+
+WakeFd::~WakeFd() {
+  ::close(read_fd_);
+  ::close(write_fd_);
+}
+
+void WakeFd::signal() noexcept {
+  // The byte is never drained, so the read end stays readable; a full pipe
+  // (EAGAIN) is already readable, so a failed write changes nothing.
+  const std::uint8_t byte = 1;
+  [[maybe_unused]] const ::ssize_t n = ::write(write_fd_, &byte, 1);
 }
 
 Socket connect_local(std::uint16_t port) {

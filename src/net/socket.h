@@ -45,9 +45,10 @@ class Socket {
 
   /// Waits up to `timeout_s` for the socket to become readable (data, EOF,
   /// or error — a following read resolves which). Returns false on
-  /// timeout. Lets a frame-loop receiver idle on a pooled connection
-  /// without arming a recv deadline that would sever it.
-  [[nodiscard]] bool poll_readable(double timeout_s);
+  /// timeout, or as soon as `wake` (a WakeFd's fd; -1 = none) is readable.
+  /// Lets a frame-loop receiver idle on a pooled connection without arming
+  /// a recv deadline that would sever it.
+  [[nodiscard]] bool poll_readable(double timeout_s, int wake = -1);
 
   void close() noexcept;
 
@@ -63,12 +64,35 @@ class Listener {
   /// Blocks until a peer connects.
   [[nodiscard]] Socket accept();
   /// Waits up to `timeout_s` for a peer; returns an invalid Socket on
-  /// timeout (the caller re-checks its exit conditions and polls again).
-  [[nodiscard]] Socket accept(double timeout_s);
+  /// timeout, or as soon as `wake` (a WakeFd's fd; -1 = none) is readable
+  /// (the caller re-checks its exit conditions and polls again).
+  [[nodiscard]] Socket accept(double timeout_s, int wake = -1);
 
  private:
   Socket sock_;
   std::uint16_t port_ = 0;
+};
+
+/// A one-shot, level-triggered wake-up for threads blocked in poll-based
+/// waits (Listener::accept, Socket::poll_readable): once signal()ed, its
+/// fd stays readable for good, so every present and future wait on it
+/// returns at once. Meant for conditions that never revert (all of a
+/// node's work resolved, the node died). A self-pipe; not copyable.
+class WakeFd {
+ public:
+  WakeFd();  // throws on failure
+  ~WakeFd();
+  WakeFd(const WakeFd&) = delete;
+  WakeFd& operator=(const WakeFd&) = delete;
+
+  /// The fd to poll for readability.
+  [[nodiscard]] int fd() const noexcept { return read_fd_; }
+  /// Makes fd() readable; idempotent and safe from any thread.
+  void signal() noexcept;
+
+ private:
+  int read_fd_ = -1;
+  int write_fd_ = -1;
 };
 
 /// Blocking connect to 127.0.0.1:port.

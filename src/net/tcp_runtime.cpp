@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -14,6 +13,7 @@
 #include "runtime/combine_stream.h"
 #include "runtime/exec_state.h"
 #include "runtime/op_trace.h"
+#include "util/pacer.h"
 #include "util/thread_pool.h"
 
 namespace rpr::net {
@@ -92,6 +92,28 @@ runtime::TestbedResult TcpRuntime::execute(const RepairPlan& plan,
     listener[n] = std::make_unique<Listener>();
     port[n] = listener[n]->port();
   }
+
+  // Teardown wake-ups: a receiving node's acceptor and idle frame loops
+  // poll its wake fd beside their sockets, and it is signaled the moment
+  // the last op the node is owed resolves or the node is found dead — so
+  // they exit at once instead of on their next periodic poll (which stays,
+  // for the wall-clock kill checks).
+  std::vector<std::unique_ptr<WakeFd>> wake(cluster_.total_nodes());
+  std::vector<std::atomic<std::size_t>> owed_left(cluster_.total_nodes());
+  for (topology::NodeId n = 0; n < cluster_.total_nodes(); ++n) {
+    owed_left[n].store(incoming_of_node[n].size());
+    if (!incoming_of_node[n].empty()) wake[n] = std::make_unique<WakeFd>();
+  }
+  auto wake_node = [&](topology::NodeId n) {
+    if (wake[n]) wake[n]->signal();
+  };
+  state.on_resolve = [&](OpId id) {
+    const PlanOp& op = plan.ops[id];
+    if (op.kind == OpKind::kSend && op.from != op.node &&
+        owed_left[op.node].fetch_sub(1) == 1) {
+      wake_node(op.node);
+    }
+  };
 
   // TX serialization in slice mode: concurrent streams out of one node
   // interleave at slice granularity instead of implicitly queueing on the
@@ -200,6 +222,7 @@ runtime::TestbedResult TcpRuntime::execute(const RepairPlan& plan,
     for (const auto& kill : params_.faults.kills) {
       if (kill.node == node && elapsed >= kill.at_s) {
         dead_.insert(node);
+        wake_node(node);
         return true;
       }
     }
@@ -214,6 +237,7 @@ runtime::TestbedResult TcpRuntime::execute(const RepairPlan& plan,
       std::scoped_lock lock(fault_mu_);
       dead_.insert(node);
     }
+    wake_node(node);
     blame(node);
   };
 
@@ -268,11 +292,9 @@ runtime::TestbedResult TcpRuntime::execute(const RepairPlan& plan,
           gf::mul_region_add(op.coeff, out, src);
           state.publish(id, std::move(out));
         } else {
-          // Reads are local and instant: materialize the whole value, all
-          // slices become available at once.
-          Block& out = state.storage(id);
-          gf::mul_region(op.coeff, out, src);
-          state.publish_all(id);
+          // Reads are local and instant: every slice is available at once,
+          // as a view of the stripe block scaled by the read coefficient.
+          state.publish_view(id, src.data(), op.coeff);
         }
         break;
       }
@@ -294,10 +316,12 @@ runtime::TestbedResult TcpRuntime::execute(const RepairPlan& plan,
             state.publish(id, std::move(payload));
             break;
           }
-          Block& out = state.storage(id);
-          op_bytes = out.size();
-          for (std::size_t s = 0; s < state.slices(); ++s) {
-            if (!state.wait_inputs_slice(op.inputs, s)) {
+          // Sliced: alias the input and republish its slices as they land.
+          op_bytes = state.value_size();
+          for (std::size_t s = 0; s < state.slices();) {
+            const std::size_t avail = state.wait_inputs_slices_batch(
+                op.inputs, s, state.slices());
+            if (avail == 0) {
               state.fail(id);
               return;
             }
@@ -308,12 +332,10 @@ runtime::TestbedResult TcpRuntime::execute(const RepairPlan& plan,
                 state.fail(id);
                 return;
               }
+              state.alias(id, op.inputs[0]);
             }
-            const std::size_t off = state.slice_offset(s);
-            std::memcpy(out.data() + off,
-                        state.value[op.inputs[0]].data() + off,
-                        state.slice_len(s));
-            state.publish_slices(id, s + 1);
+            state.publish_slices(id, avail);
+            s = avail;
           }
           break;
         }
@@ -321,7 +343,8 @@ runtime::TestbedResult TcpRuntime::execute(const RepairPlan& plan,
         const auto rf = cluster_.rack_of(op.from);
         const auto rt = cluster_.rack_of(op.node);
         const util::Bandwidth bw = params_.net.between_racks(rf, rt);
-        // Chunked pacing: delay per chunk so the stream averages bw*scale.
+        // Chunked pacing: the stream averages bw*scale, one chunk per
+        // delay (deadline-paced, see util/pacer.h).
         const double chunk_sec =
             static_cast<double>(params_.pace_chunk) /
             (bw.as_bytes_per_sec() * params_.time_scale);
@@ -480,9 +503,14 @@ runtime::TestbedResult TcpRuntime::execute(const RepairPlan& plan,
           return;
         }
         op_start = runtime::detail::TraceClock::now();
-        // Stable once slice 0 published: slice-mode producers stream into
-        // a value buffer that is never reallocated.
-        const std::uint8_t* src = state.value[op.inputs[0]].data();
+        // The input's view is final once slice 0 published. A scaled view
+        // (a read with its coefficient, or an alias of one) is multiplied
+        // slice by slice into a scratch buffer on its way to the socket;
+        // the receiver always owns its bytes at scale 1.
+        const runtime::detail::ValueView in = state.view(op.inputs[0]);
+        std::vector<std::uint8_t> scaled(in.scale != 1 ? state.slice_len(0)
+                                                       : 0);
+        util::Pacer pacer;
 
         bool sent = false;
         for (std::size_t attempt = 0;
@@ -549,12 +577,18 @@ runtime::TestbedResult TcpRuntime::execute(const RepairPlan& plan,
               }
               const std::size_t off = state.slice_offset(s);
               const std::size_t len = state.slice_len(s);
+              const std::uint8_t* payload = in.data + off;
+              if (in.scale != 1) {
+                gf::mul_region(in.scale, {scaled.data(), len}, {payload, len});
+                payload = scaled.data();
+              }
               metrics.begin_flight(len);
               {
                 std::scoped_lock tx(tx_mu[op.from]);
                 ok = send_payload_chunk(
-                    sock, {src + off, len}, params_.pace_chunk, delay_ns,
-                    [&] { return endpoint_dead() != fault::kNoNode; });
+                    sock, {payload, len}, params_.pace_chunk, delay_ns,
+                    [&] { return endpoint_dead() != fault::kNoNode; },
+                    &pacer);
               }
               metrics.end_flight(len);
               if (ok) attempt_bytes += len;
@@ -794,7 +828,7 @@ runtime::TestbedResult TcpRuntime::execute(const RepairPlan& plan,
           return;
         }
         if (all_owed_resolved(n)) return;
-        if (peer.poll_readable(kAcceptPollS)) break;
+        if (peer.poll_readable(kAcceptPollS, wake[n]->fd())) break;
       }
       ValueHeader h;
       try {
@@ -834,8 +868,8 @@ runtime::TestbedResult TcpRuntime::execute(const RepairPlan& plan,
             fail_owed(n);
             break;
           }
-          Socket peer = listener[n]->accept(kAcceptPollS);
-          if (!peer.valid()) continue;  // poll timeout: re-check conditions
+          Socket peer = listener[n]->accept(kAcceptPollS, wake[n]->fd());
+          if (!peer.valid()) continue;  // timeout or wake: re-check conditions
           ingests.emplace_back([&, p = std::move(peer)]() mutable {
             try {
               ingest_conn(n, std::move(p));
@@ -900,8 +934,8 @@ runtime::TestbedResult TcpRuntime::execute(const RepairPlan& plan,
     for (OpId id : outputs) any_output_failed |= state.failed[id];
   }
   if (!any_output_failed) {
-    result.outputs.reserve(outputs.size());
-    for (OpId id : outputs) result.outputs.push_back(state.take_copy(id));
+    result.outputs = state.take_outputs(outputs);
+    metrics.fresh_buffers(state.fresh_buffers(), state.fresh_bytes());
     return result;
   }
 
@@ -933,15 +967,22 @@ runtime::TestbedResult TcpRuntime::execute(const RepairPlan& plan,
       abort.partition_side[n] = cut->side_of(cluster_.rack_of(n));
     }
   }
+  std::vector<OpId> salvaged;
   {
     std::scoped_lock fl(fault_mu_);
     std::unique_lock lock(state.mu);
     for (OpId id = 0; id < plan.ops.size(); ++id) {
       if (!state.done[id]) continue;
       if (dead_.count(plan.ops[id].node) != 0) continue;
-      abort.completed.emplace_back(id, state.value[id]);
+      salvaged.push_back(id);
     }
   }
+  // Materialized outside the locks (the pool lock is a leaf): a view's
+  // scale is applied, so a banked value is its op's value byte for byte.
+  for (const OpId id : salvaged) {
+    abort.completed.emplace_back(id, state.take_copy(id));
+  }
+  metrics.fresh_buffers(state.fresh_buffers(), state.fresh_bytes());
   result.abort = std::move(abort);
   return result;
 }

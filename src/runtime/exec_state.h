@@ -9,28 +9,46 @@
 // lands instead of buffering the whole intermediate. This header carries
 // the state machine both engines share:
 //
-//  * every op value is one value-sized buffer handed to its producer by
-//    storage() and never reallocated afterwards — consumers read published
-//    regions by reference (no per-message scratch copies);
-//  * the value plane is pooled and overwrite-only: storage() draws from
-//    the process-wide BlockPool, so a buffer arrives holding a previous
-//    run's bytes, and every producer overwrites its whole value (reads and
-//    combines with the overwriting GF kernels, sends and TCP ingest by
-//    copy). Nothing is zero-filled, and a warm repair faults in no pages;
+//  * in slice mode an op's value is a *view*: a pointer to value_size()
+//    bytes plus a GF(2^8) scale, the value being scale x those bytes. Bytes
+//    are written only where a real transfer or a combine produces them. A
+//    read views its stripe block scaled by its coefficient; a forward (a
+//    testbed send, a local move, a one-input combine) aliases its input's
+//    view and folds its own coefficient into the scale. Consumers fold the
+//    scale in where they touch the bytes: a combine multiplies it into its
+//    input coefficients, a TCP sender into a slice scratch buffer, and an
+//    output or a salvaged value is materialized (copy x scale) at the end.
+//    A view never changes once its op published slice 0, and it points
+//    into memory that outlives the run (the caller's stripe, or a value
+//    buffer of this state that is never reallocated once sized);
+//  * an op that produces bytes (a multi-input combine, a TCP ingest, a
+//    whole-block producer) owns one value-sized buffer, handed to it by
+//    storage() and viewed with scale 1 — consumers read published regions
+//    in place (no per-message scratch copies);
+//  * owned buffers are pooled and overwrite-only: storage() draws from the
+//    process-wide BlockPool, so a buffer arrives holding a previous run's
+//    bytes, and every producer overwrites its whole value. Nothing is
+//    zero-filled, and a warm repair faults in no pages. A request the pool
+//    cannot serve allocates fresh and is counted (fresh_buffers());
+//  * outputs leave by move: take_outputs() hands the caller the owning
+//    buffer itself unless the output is scaled or a second output shares
+//    the owner — then it materializes a copy;
 //  * the pool retains buffers of the most recently used value size only,
 //    and never more than the most one ExecState has held at that size —
 //    retained memory is bounded by one repair's peak;
 //  * slices complete strictly in order per op (each op has exactly one
 //    producer thread), so per-op progress is a single counter;
 //  * publication is mutex-protected: a consumer that observed
-//    `slices_done[id] > s` under the lock reads slice s's bytes
-//    happens-after the producer wrote them. Producers write slice bytes
-//    *outside* the lock (disjoint from every published region);
+//    `slices_done[id] > s` under the lock reads slice s's bytes (and the
+//    op's view) happens-after the producer wrote them. Producers write
+//    slice bytes *outside* the lock (disjoint from every published region);
 //  * resolution is first-wins (a TCP send can be failed by its sender and
-//    published by its acceptor in a race; whichever lands first sticks).
+//    published by its acceptor in a race; whichever lands first sticks),
+//    and `on_resolve`, when set, hears each op's resolution exactly once.
 //
 // Whole-block mode is the degenerate case slice_count == 1; engines built
-// on this state keep their historical store-and-forward behavior there.
+// on this state keep their historical store-and-forward behavior there
+// (every value owned, scale 1, outputs copied out).
 #pragma once
 
 #include <algorithm>
@@ -39,10 +57,14 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "check/scheduler.h"
+#include "gf/gf256.h"
+#include "gf/gf_region.h"
 #include "obs/metrics.h"
 #include "repair/plan.h"
 #include "rs/rs_code.h"
@@ -69,8 +91,9 @@ class BlockPool {
   }
 
   /// A `size`-byte buffer: a retained one when available, else a fresh
-  /// allocation. Requesting a new size drops every retained buffer.
-  rs::Block take(std::size_t size) {
+  /// allocation (and `*fresh`, when given, is set). Requesting a new size
+  /// drops every retained buffer.
+  rs::Block take(std::size_t size, bool* fresh = nullptr) {
     std::vector<rs::Block> stale;
     {
       std::scoped_lock lock(mu_);
@@ -78,9 +101,11 @@ class BlockPool {
       if (!free_.empty()) {
         rs::Block b = std::move(free_.back());
         free_.pop_back();
+        if (fresh != nullptr) *fresh = false;
         return b;
       }
     }
+    if (fresh != nullptr) *fresh = true;
     return rs::Block(size);
   }
 
@@ -146,6 +171,16 @@ class SliceMetrics {
     slices_ = &reg->counter(p + ".slice.count");
     bytes_ = &reg->counter(p + ".slice.bytes");
     peak_ = &reg->max_gauge(p + ".bytes_in_flight_peak");
+    fresh_ = &reg->counter(p + ".value_buffers.fresh");
+    fresh_bytes_ = &reg->counter(p + ".value_buffers.fresh_bytes");
+  }
+
+  /// Value buffers one run had to allocate because the pool had none to
+  /// give (ExecState::fresh_buffers / fresh_bytes).
+  void fresh_buffers(std::uint64_t count, std::uint64_t bytes) {
+    if (fresh_ == nullptr) return;
+    fresh_->add(count);
+    fresh_bytes_->add(bytes);
   }
 
   void transfer_slice(bool cross_rack, double seconds, std::size_t len) {
@@ -181,7 +216,18 @@ class SliceMetrics {
   obs::Counter* slices_ = nullptr;
   obs::Counter* bytes_ = nullptr;
   obs::MaxGauge* peak_ = nullptr;
+  obs::Counter* fresh_ = nullptr;
+  obs::Counter* fresh_bytes_ = nullptr;
   std::atomic<std::uint64_t> in_flight_{0};
+};
+
+/// An op's value as its consumers read it: `scale` x the bytes at `data`
+/// (see file comment). `owner` is the op whose buffer in ExecState::value
+/// holds the bytes, or kNoOp when they are the caller's (a stripe block).
+struct ValueView {
+  const std::uint8_t* data = nullptr;
+  std::uint8_t scale = 1;
+  repair::OpId owner = repair::kNoOp;
 };
 
 /// Shared per-run execution state (see file comment).
@@ -192,6 +238,7 @@ class ExecState {
         slices_done(ops, 0),
         done(ops, false),
         failed(ops, false),
+        views_(ops),
         value_size_(value_size),
         slice_size_(slice_size == 0 ? value_size : slice_size),
         slices_(slice_count(value_size, slice_size)) {}
@@ -219,16 +266,53 @@ class ExecState {
   }
 
   /// The op's value buffer, drawn from the pool on first call with
-  /// arbitrary contents: the producer must overwrite every slice it
-  /// publishes. Only the op's producer may call this before publication;
-  /// the returned reference (and the buffer's data pointer) is stable for
-  /// the run.
+  /// arbitrary contents (and viewed with scale 1): the producer must
+  /// overwrite every slice it publishes. Only the op's producer may call
+  /// this before publication; the returned reference (and the buffer's
+  /// data pointer) is stable for the run.
   rs::Block& storage(repair::OpId id) {
-    rs::Block fresh;
-    if (value_size_ != 0) fresh = BlockPool::shared().take(value_size_);
+    {
+      std::unique_lock lock(mu);
+      if (value[id].size() == value_size_) return value[id];
+    }
+    rs::Block fresh = pooled();
     std::unique_lock lock(mu);
-    if (value[id].size() != value_size_) value[id].swap(fresh);
+    if (value[id].size() != value_size_) {
+      value[id].swap(fresh);
+      set_own_view_locked(id);
+    }
     return value[id];
+  }
+
+  /// Publishes every slice of `id` at once as a view of `data` (value_size()
+  /// caller-owned bytes that outlive the run) scaled by `scale` — a read of
+  /// a stripe block. No-op on a resolved op.
+  void publish_view(repair::OpId id, const std::uint8_t* data,
+                    std::uint8_t scale) {
+    {
+      std::unique_lock lock(mu);
+      if (slices_done[id] == 0 && !failed[id]) {
+        views_[id] = ValueView{data, scale, repair::kNoOp};
+      }
+    }
+    publish_all(id);
+  }
+
+  /// Makes `id` view the same bytes as `src`, scaled by `scale` on top of
+  /// src's own scale. Call before publishing any slice of `id`, after `src`
+  /// published its first slice (its view is final from then on).
+  void alias(repair::OpId id, repair::OpId src, std::uint8_t scale = 1) {
+    std::unique_lock lock(mu);
+    if (slices_done[id] != 0) return;
+    ValueView v = views_[src];
+    v.scale = gf::mul(v.scale, scale);
+    views_[id] = v;
+  }
+
+  /// The view of `id`; final once the op published its first slice.
+  [[nodiscard]] ValueView view(repair::OpId id) {
+    std::unique_lock lock(mu);
+    return views_[id];
   }
 
   /// Blocks until every input has published slice s (true) or any input
@@ -315,6 +399,7 @@ class ExecState {
     if (committed) {
       check::observe(check::Event{check::EventKind::kCommit, scope(), id, 0,
                                   0, false});
+      if (on_resolve) on_resolve(id);
     }
     cv.notify_all();
     check::notify_object(cond_obj());
@@ -343,11 +428,17 @@ class ExecState {
       } else {
         value[id] = std::move(b);
       }
+      // A view a consumer may already hold (slices published) stays; its
+      // bytes are the same value.
+      if (slices_done[id] == 0 || views_[id].data == nullptr) {
+        set_own_view_locked(id);
+      }
       slices_done[id] = slices_;
       done[id] = true;
     }
     check::observe(check::Event{check::EventKind::kCommit, scope(), id, 0, 0,
                                 resolved_already});
+    if (!resolved_already && on_resolve) on_resolve(id);
     cv.notify_all();
     check::notify_object(cond_obj());
   }
@@ -365,6 +456,7 @@ class ExecState {
     }
     check::observe(
         check::Event{check::EventKind::kFail, scope(), id, 0, 0, false});
+    if (on_resolve) on_resolve(id);
     cv.notify_all();
     check::notify_object(cond_obj());
   }
@@ -380,10 +472,56 @@ class ExecState {
     return slices_done[id];
   }
 
+  /// A copy of `id`'s value, materialized from its view (copy x scale).
+  /// Empty when the op never produced one. Call with no producer running.
   rs::Block take_copy(repair::OpId id) {
-    std::unique_lock lock(mu);
-    return value[id];
+    const ValueView v = view(id);
+    if (v.data == nullptr || (v.owner == id && v.scale == 1)) {
+      std::unique_lock lock(mu);
+      return value[id];
+    }
+    return materialize(v);
   }
+
+  /// The values of `ids`, for returning to the caller once every producer
+  /// has finished. In slice mode an output whose view is its owner's whole
+  /// buffer at scale 1 takes that buffer by move; a scaled output, one
+  /// viewing the caller's memory, or a second output of an owner already
+  /// moved out is materialized. Whole-block mode copies (its historical
+  /// behavior).
+  std::vector<rs::Block> take_outputs(std::span<const repair::OpId> ids) {
+    std::vector<rs::Block> out;
+    out.reserve(ids.size());
+    std::vector<bool> moved(value.size(), false);
+    for (const repair::OpId id : ids) {
+      const ValueView v = view(id);
+      if (slices_ == 1 || v.data == nullptr) {
+        out.push_back(take_copy(id));
+      } else if (v.owner != repair::kNoOp && v.scale == 1 &&
+                 !moved[v.owner]) {
+        moved[v.owner] = true;
+        std::unique_lock lock(mu);
+        out.push_back(std::move(value[v.owner]));
+      } else {
+        // Still valid if the owner moved out above: the bytes moved with it.
+        out.push_back(materialize(v));
+      }
+    }
+    return out;
+  }
+
+  /// Value buffers this run allocated because the pool had none, and their
+  /// bytes.
+  [[nodiscard]] std::uint64_t fresh_buffers() const noexcept {
+    return fresh_buffers_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t fresh_bytes() const noexcept {
+    return fresh_buffers() * value_size_;
+  }
+
+  /// Called (outside the lock) once per op, by the thread whose publish or
+  /// fail resolved it. Set before any producer starts.
+  std::function<void(repair::OpId)> on_resolve;
 
   check::Mutex mu{"exec.state"};
   std::condition_variable_any cv;
@@ -405,6 +543,26 @@ class ExecState {
     return reinterpret_cast<std::uintptr_t>(&cv);
   }
 
+  void set_own_view_locked(repair::OpId id) {
+    views_[id] = ValueView{value[id].data(), 1, id};
+  }
+
+  /// A value-sized buffer from the pool, counting a miss.
+  rs::Block pooled() {
+    bool fresh = false;
+    rs::Block b;
+    if (value_size_ != 0) b = BlockPool::shared().take(value_size_, &fresh);
+    if (fresh) fresh_buffers_.fetch_add(1, std::memory_order_relaxed);
+    return b;
+  }
+
+  /// A new buffer holding `v`'s value (copy x scale).
+  rs::Block materialize(const ValueView& v) {
+    rs::Block b = pooled();
+    gf::mul_region(v.scale, b, {v.data, b.size()});
+    return b;
+  }
+
   /// Condition wait: the plain cv under production, a cooperative
   /// block/notify loop when the calling thread is checked (the scheduler
   /// serializes checked threads, so the unlock -> block_on window admits
@@ -423,9 +581,11 @@ class ExecState {
     }
   }
 
+  std::vector<ValueView> views_;
   std::size_t value_size_;
   std::size_t slice_size_;
   std::size_t slices_;
+  std::atomic<std::uint64_t> fresh_buffers_{0};
   std::uintptr_t scope_id_ = check::next_scope_id();
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <stdexcept>
 #include <thread>
 
@@ -11,6 +10,7 @@
 #include "runtime/combine_stream.h"
 #include "runtime/exec_state.h"
 #include "runtime/op_trace.h"
+#include "util/pacer.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -168,13 +168,16 @@ TestbedResult Testbed::execute(const RepairPlan& plan,
   // large enough to amortize port locking and pacing-sleep granularity at
   // 16 KiB slices, small enough to keep the pipeline fine-grained.
   constexpr std::size_t kMaxBatchBytes = 256 << 10;
+  // Deadline-paced (util::Pacer): `pacer` is the sending op's own, so a
+  // late wake-up in one slice's transfer is repaid in the next.
   auto paced_transfer = [&](std::uint64_t bytes, util::Bandwidth bw,
-                            topology::NodeId from,
-                            topology::NodeId to) -> Xfer {
+                            topology::NodeId from, topology::NodeId to,
+                            util::Pacer& pacer) -> Xfer {
     const topology::RackId rf = cluster_.rack_of(from);
     const topology::RackId rt = cluster_.rack_of(to);
     const double total_s = static_cast<double>(bytes) /
                            (bw.as_bytes_per_sec() * params_.time_scale);
+    pacer.begin();
     double sent_s = 0.0;
     while (sent_s < total_s) {
       if (is_dead(from)) {
@@ -187,7 +190,7 @@ TestbedResult Testbed::execute(const RepairPlan& plan,
       }
       if (active_partition(rf, rt) != nullptr) return Xfer::kCut;
       const double step = std::min(kSliceS, total_s - sent_s);
-      std::this_thread::sleep_for(std::chrono::duration<double>(step));
+      pacer.advance(step);
       sent_s += step;
     }
     return Xfer::kOk;
@@ -235,11 +238,9 @@ TestbedResult Testbed::execute(const RepairPlan& plan,
           gf::mul_region_add(op.coeff, out, src);
           state.publish(id, std::move(out));
         } else {
-          // Reads are local and instant: materialize the whole value, all
-          // slices become available at once.
-          Block& out = state.storage(id);
-          gf::mul_region(op.coeff, out, src);
-          state.publish_all(id);
+          // Reads are local and instant: every slice is available at once,
+          // as a view of the stripe block scaled by the read coefficient.
+          state.publish_view(id, src.data(), op.coeff);
         }
         break;
       }
@@ -261,8 +262,8 @@ TestbedResult Testbed::execute(const RepairPlan& plan,
             state.publish(id, std::move(payload));
             break;
           }
-          Block& out = state.storage(id);
-          op_bytes = out.size();
+          // Sliced: alias the input and republish its slices as they land.
+          op_bytes = state.value_size();
           for (std::size_t s = 0; s < state.slices();) {
             const std::size_t avail = state.wait_inputs_slices_batch(
                 op.inputs, s, state.slices());
@@ -277,12 +278,8 @@ TestbedResult Testbed::execute(const RepairPlan& plan,
                 state.fail(id);
                 return;
               }
+              state.alias(id, op.inputs[0]);
             }
-            const std::size_t off = state.slice_offset(s);
-            std::memcpy(out.data() + off,
-                        state.value[op.inputs[0]].data() + off,
-                        state.slice_offset(avail - 1) +
-                            state.slice_len(avail - 1) - off);
             state.publish_slices(id, avail);
             s = avail;
           }
@@ -293,6 +290,7 @@ TestbedResult Testbed::execute(const RepairPlan& plan,
         const topology::RackId rt = cluster_.rack_of(op.node);
         const util::Bandwidth bw = params_.net.between_racks(rf, rt);
         const fault::Straggle* straggle = params_.faults.straggle_of(op.from);
+        util::Pacer pacer;
 
         if (!sliced) {
           // Whole-block store-and-forward (the historical path).
@@ -353,11 +351,11 @@ TestbedResult Testbed::execute(const RepairPlan& plan,
             Xfer xr;
             if (rf == rt) {
               check::OrderedLock ports(node_tx[op.from], node_rx[op.node]);
-              xr = paced_transfer(bytes, bw, op.from, op.node);
+              xr = paced_transfer(bytes, bw, op.from, op.node, pacer);
             } else {
               check::OrderedLock ports(node_tx[op.from], rack_tx[rf],
                                        rack_rx[rt], node_rx[op.node]);
-              xr = paced_transfer(bytes, bw, op.from, op.node);
+              xr = paced_transfer(bytes, bw, op.from, op.node, pacer);
             }
             metrics.end_flight(bytes);
             if (xr == Xfer::kOk) {
@@ -397,12 +395,14 @@ TestbedResult Testbed::execute(const RepairPlan& plan,
 
         // Slice-pipelined transfer: forward each slice the moment the
         // input published it, holding the ports only for that slice's
-        // paced duration. Straggle/retry stay op-granular; a retried
-        // attempt resumes from the first unforwarded slice.
-        Block& out = state.storage(id);
-        op_bytes = out.size();
+        // paced duration. The bytes do not move — the op aliases its
+        // input's view — but every slice still pays its port locks, its
+        // pacing and its fault checks, and is counted as traffic.
+        // Straggle/retry stay op-granular; a retried attempt resumes from
+        // the first unforwarded slice.
+        op_bytes = state.value_size();
         const double expected_s =
-            static_cast<double>(out.size()) /
+            static_cast<double>(state.value_size()) /
             (bw.as_bytes_per_sec() * params_.time_scale);
         bool sent = false;
         bool endpoint_died = false;
@@ -457,7 +457,10 @@ TestbedResult Testbed::execute(const RepairPlan& plan,
               state.fail(id);
               return;
             }
-            if (s == 0) op_start = detail::TraceClock::now();
+            if (s == 0) {
+              op_start = detail::TraceClock::now();
+              state.alias(id, op.inputs[0]);
+            }
             // Fault/schedule boundary before the ports are taken: an
             // explored kill can land between a slice becoming ready and
             // its forward (mirrors combine_stream's per-slice point).
@@ -469,11 +472,11 @@ TestbedResult Testbed::execute(const RepairPlan& plan,
             metrics.begin_flight(len);
             if (rf == rt) {
               check::OrderedLock ports(node_tx[op.from], node_rx[op.node]);
-              xr = paced_transfer(len, bw, op.from, op.node);
+              xr = paced_transfer(len, bw, op.from, op.node, pacer);
             } else {
               check::OrderedLock ports(node_tx[op.from], rack_tx[rf],
                                        rack_rx[rt], node_rx[op.node]);
-              xr = paced_transfer(len, bw, op.from, op.node);
+              xr = paced_transfer(len, bw, op.from, op.node, pacer);
             }
             metrics.end_flight(len);
             if (xr != Xfer::kOk) break;
@@ -484,8 +487,6 @@ TestbedResult Testbed::execute(const RepairPlan& plan,
                     std::chrono::steady_clock::now() - t0)
                     .count(),
                 len);
-            std::memcpy(out.data() + off,
-                        state.value[op.inputs[0]].data() + off, len);
             state.publish_slices(id, avail);
             next_slice = avail;
             s = avail;
@@ -648,8 +649,8 @@ TestbedResult Testbed::execute(const RepairPlan& plan,
     for (OpId id : outputs) any_output_failed |= state.failed[id];
   }
   if (!any_output_failed) {
-    result.outputs.reserve(outputs.size());
-    for (OpId id : outputs) result.outputs.push_back(state.take_copy(id));
+    result.outputs = state.take_outputs(outputs);
+    metrics.fresh_buffers(state.fresh_buffers(), state.fresh_bytes());
     return result;
   }
 
@@ -681,15 +682,22 @@ TestbedResult Testbed::execute(const RepairPlan& plan,
       abort.partition_side[n] = cut->side_of(cluster_.rack_of(n));
     }
   }
+  std::vector<OpId> salvaged;
   {
     std::scoped_lock fl(fault_mu_);
     std::unique_lock lock(state.mu);
     for (OpId id = 0; id < plan.ops.size(); ++id) {
       if (!state.done[id]) continue;
       if (dead_.count(plan.ops[id].node) != 0) continue;
-      abort.completed.emplace_back(id, state.value[id]);
+      salvaged.push_back(id);
     }
   }
+  // Materialized outside the locks (the pool lock is a leaf): a view's
+  // scale is applied, so a banked value is its op's value byte for byte.
+  for (const OpId id : salvaged) {
+    abort.completed.emplace_back(id, state.take_copy(id));
+  }
+  metrics.fresh_buffers(state.fresh_buffers(), state.fresh_bytes());
   result.abort = std::move(abort);
   return result;
 }

@@ -4,10 +4,15 @@
 //
 // This is the stand-in for the paper's EC2 evaluation (§5.2): where the
 // discrete-event simulator *models* transfer and decode costs, the testbed
-// *incurs* them — bytes move between per-node mailboxes through paced
-// channels, partial decodes run the real region kernels, and matrix-path
-// decodes run the general (unoptimized) GF path plus a real matrix
-// inversion. Total repair time is measured wall-clock.
+// *incurs* them — every transfer holds its ports for its paced duration,
+// partial decodes run the real region kernels over real bytes, and
+// matrix-path decodes run the general (unoptimized) GF path plus a real
+// matrix inversion. Total repair time is measured wall-clock. The nodes
+// share one address space, so a transfer's bytes need not be copied: in
+// slice mode a send's value is a view aliasing its input's (see
+// exec_state.h), while the transfer still takes its port locks, paces each
+// slice (deadline pacing, util/pacer.h), checks faults and counts its
+// traffic. Whole-block mode copies each sent value, as it always has.
 //
 // Port model mirrors the simulator: a transfer holds the sender's TX port,
 // the receiver's RX port and — when crossing racks — the two racks' uplink

@@ -3,11 +3,14 @@
 // the TCP loopback runtime (odd tails, slice == block, slice > block), the
 // simulator's slice-overlap lowering (traffic invariant, chained-plan
 // makespan collapse) on both the port and fluid models, the per-phase
-// slice metrics emitted by the obs probe, and the pooled value buffers
+// slice metrics emitted by the obs probe, the pooled value buffers
 // (byte-exact reuse across interleaved plans and after an aborted run, and
-// the pool's retention bound).
+// the pool's retention bound), and the sliced engines' value views (scaled
+// reads, aliased forwards, moved and materialized outputs, salvaged values,
+// the pool-miss counter, the TCP teardown wake-up).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -17,6 +20,7 @@
 
 #include "net/tcp_runtime.h"
 #include "obs/metrics.h"
+#include "obs/recorder.h"
 #include "repair/executor_data.h"
 #include "repair/executor_sim.h"
 #include "repair/planner.h"
@@ -536,4 +540,300 @@ TEST(SlicedTestbed, PoolRetainsOnlyTheLatestSizeWithinOneRunsCount) {
   const auto got = bed.execute(read, read_out, c.stripe);
   ASSERT_EQ(got.outputs[0], c.stripe[1]);
   EXPECT_EQ(BlockPool::shared().retained_buffers(), kept);
+}
+
+// --- value views ----------------------------------------------------------
+//
+// In slice mode a read publishes a view of its stripe block scaled by its
+// coefficient, forwards alias their input, and outputs leave by move. Every
+// output and every salvaged value must still equal the data executor's
+// value for its op, byte for byte.
+
+namespace {
+
+using rpr::repair::OpKind;
+
+/// Every op of `plan`, in order (for checking each value the engine kept).
+std::vector<OpId> all_ops(const rpr::repair::RepairPlan& plan) {
+  std::vector<OpId> ids(plan.ops.size());
+  for (OpId id = 0; id < ids.size(); ++id) ids[id] = id;
+  return ids;
+}
+
+/// Whether some read scales its block (coefficient other than 0 and 1).
+bool has_scaled_read(const rpr::repair::RepairPlan& plan) {
+  for (const auto& op : plan.ops) {
+    if (op.kind == OpKind::kRead && op.coeff > 1) return true;
+  }
+  return false;
+}
+
+template <typename Params>
+Params view_params(const PlacedCode& pc, std::size_t slice) {
+  Params p;
+  p.net = RegionNet::uniform(pc.placed.cluster.racks(), Bandwidth::gbps(10),
+                             Bandwidth::gbps(1));
+  p.time_scale = 256.0;
+  p.decode_matrix_dim = pc.code.config().n;
+  p.slice_size = slice;
+  return p;
+}
+
+/// Parity loss (every read scaled by a generator coefficient) on RS(6,3)
+/// and RS(12,4), 64 KiB slices over a block with an odd tail.
+template <typename Engine, typename Params>
+void expect_scaled_views_byte_exact() {
+  const std::size_t block = (5 << 16) + 4097;
+  for (const rpr::rs::CodeConfig cfg :
+       {rpr::rs::CodeConfig{6, 3}, rpr::rs::CodeConfig{12, 4}}) {
+    const PlacedCode pc(cfg, rpr::topology::PlacementPolicy::kRpr);
+    const ReuseCase c = reuse_case("parity loss", pc, Scheme::kRpr, cfg.n,
+                                   block, 200 + cfg.n);
+    ASSERT_TRUE(has_scaled_read(c.planned.plan)) << cfg.n;
+    Engine engine(pc.placed.cluster, view_params<Params>(pc, 64 << 10));
+    for (int run = 0; run < 2; ++run) {
+      const auto result =
+          engine.execute(c.planned.plan, c.planned.outputs, c.stripe);
+      ASSERT_FALSE(result.abort.has_value());
+      EXPECT_EQ(result.outputs, c.expected) << "RS(" << cfg.n << "," << cfg.k
+                                            << "), run " << run;
+    }
+  }
+}
+
+/// The traditional star with every read scaled: the matrix-cost combine
+/// must fold each input's scale into its serial general-multiply passes.
+template <typename Engine, typename Params>
+void expect_matrix_path_folds_scales() {
+  const PlacedCode pc({6, 3}, rpr::topology::PlacementPolicy::kRpr);
+  ReuseCase c =
+      reuse_case("traditional", pc, Scheme::kTraditional, 0, 300001, 301);
+  std::uint8_t coeff = 2;
+  for (auto& op : c.planned.plan.ops) {
+    if (op.kind != OpKind::kRead) continue;
+    coeff = static_cast<std::uint8_t>(coeff + 37);
+    op.coeff = coeff;
+  }
+  ASSERT_TRUE(has_scaled_read(c.planned.plan));
+  const auto expected = rpr::repair::execute_on_data(
+      c.planned.plan, c.planned.outputs, c.stripe);
+  ASSERT_NE(expected[0], c.stripe[0]);  // the scales really changed it
+  Engine engine(pc.placed.cluster, view_params<Params>(pc, 64 << 10));
+  const auto result =
+      engine.execute(c.planned.plan, c.planned.outputs, c.stripe);
+  ASSERT_FALSE(result.abort.has_value());
+  EXPECT_EQ(result.outputs, expected);
+}
+
+/// A helper killed mid-stream on a parity-loss repair: every salvaged
+/// value (scaled reads, aliases and owned combines alike) must be its op's
+/// value.
+template <typename Engine, typename Params>
+void expect_salvage_materialized(Params p) {
+  const PlacedCode pc({6, 3}, rpr::topology::PlacementPolicy::kRpr);
+  const ReuseCase c =
+      reuse_case("parity loss", pc, Scheme::kRpr, 6, 1 << 20, 303);
+  const auto& plan = c.planned.plan;
+  NodeId victim = rpr::fault::kNoNode;
+  for (const auto& op : plan.ops) {
+    if (op.kind != OpKind::kSend) continue;
+    const NodeId from = plan.node_of(op.inputs[0]);
+    if (pc.placed.cluster.rack_of(from) != pc.placed.cluster.rack_of(op.node)) {
+      victim = from;  // its 1 MiB cross stream lasts >= 8 ms at 1 Gb/s
+      break;
+    }
+  }
+  ASSERT_NE(victim, rpr::fault::kNoNode);
+  p.net = RegionNet::uniform(pc.placed.cluster.racks(), Bandwidth::gbps(10),
+                             Bandwidth::gbps(1));
+  p.decode_matrix_dim = 6;
+  p.slice_size = 64 << 10;
+  p.faults.kills.push_back({victim, 0.002});
+  Engine engine(pc.placed.cluster, p);
+  const auto result = engine.execute(plan, c.planned.outputs, c.stripe);
+  ASSERT_TRUE(result.abort.has_value());
+  const auto every = all_ops(plan);
+  const auto values = rpr::repair::execute_on_data(plan, every, c.stripe);
+  bool scaled_salvaged = false;
+  for (const auto& [id, value] : result.abort->completed) {
+    EXPECT_EQ(value, values[id]) << "op " << id;
+    scaled_salvaged |=
+        plan.ops[id].kind == OpKind::kRead && plan.ops[id].coeff > 1;
+  }
+  EXPECT_TRUE(scaled_salvaged);
+}
+
+/// Single-block reads (read -> send, the block-read plan): with coefficient
+/// 1 the output is a view of the caller's stripe; with a coefficient it is
+/// a scaled view. Either way it must come out as the materialized value.
+template <typename Engine, typename Params>
+void expect_block_read_output_materialized() {
+  const PlacedCode pc({6, 3}, rpr::topology::PlacementPolicy::kRpr);
+  const ReuseCase c = reuse_case("read", pc, Scheme::kRpr, 0, 300001, 305);
+  Engine engine(pc.placed.cluster, view_params<Params>(pc, 64 << 10));
+  const NodeId src = pc.placed.placement.node_of(1);
+  for (const NodeId dest : {c.problem.replacements[0], src}) {
+    for (const std::uint8_t coeff : {std::uint8_t{1}, std::uint8_t{0x53}}) {
+      rpr::repair::RepairPlan read;
+      read.block_size = 300001;
+      const OpId out[] = {read.send(read.read(src, 1, coeff), src, dest)};
+      const auto expected = rpr::repair::execute_on_data(read, out, c.stripe);
+      const auto got = engine.execute(read, out, c.stripe);
+      ASSERT_FALSE(got.abort.has_value());
+      EXPECT_EQ(got.outputs, expected)
+          << "coeff " << int{coeff} << (dest == src ? ", local" : ", remote");
+    }
+  }
+  EXPECT_EQ(c.stripe[1].size(), 300001u);  // the stripe is left untouched
+}
+
+/// Two outputs that view one owner (two local moves of one combine, one of
+/// them scaled through a one-input combine), and the same output twice:
+/// the first moves the buffer out, the others are materialized from it.
+template <typename Engine, typename Params>
+void expect_shared_owner_outputs() {
+  const PlacedCode pc({6, 3}, rpr::topology::PlacementPolicy::kRpr);
+  const ReuseCase c = reuse_case("shared", pc, Scheme::kRpr, 0, 300001, 307);
+  const NodeId n = pc.placed.placement.node_of(1);
+  rpr::repair::RepairPlan plan;
+  plan.block_size = 300001;
+  const OpId a = plan.read(n, 1, 1);
+  const OpId b = plan.read(n, 1, 9);
+  const OpId sum = plan.combine(n, {a, b});
+  const OpId scaled = plan.combine_scaled(n, {sum}, {0x1d});
+  const OpId outs[] = {plan.send(sum, n, n), plan.send(sum, n, n),
+                       plan.send(scaled, n, n), sum};
+  const auto expected = rpr::repair::execute_on_data(plan, outs, c.stripe);
+  Engine engine(pc.placed.cluster, view_params<Params>(pc, 64 << 10));
+  for (int run = 0; run < 2; ++run) {
+    const auto got = engine.execute(plan, outs, c.stripe);
+    ASSERT_FALSE(got.abort.has_value());
+    EXPECT_EQ(got.outputs, expected) << "run " << run;
+  }
+}
+
+/// A warm repair on a reused engine allocates exactly one fresh value
+/// buffer per output it returned last time (the moved-out buffer never
+/// comes back to the pool); every other value buffer is a pool hit. The
+/// block size is unique to this test, so the first run resets the pool.
+template <typename Engine, typename Params>
+void expect_warm_repair_fresh_count(const char* prefix) {
+  const PlacedCode pc({6, 3}, rpr::topology::PlacementPolicy::kRpr);
+  const std::size_t block = (1 << 20) + 3 * 4096 + 11;
+  const ReuseCase c = reuse_case("rpr data loss", pc, Scheme::kRpr, 0, block,
+                                 309);
+  rpr::obs::MetricsRegistry registry;
+  Params p = view_params<Params>(pc, 64 << 10);
+  p.metrics = &registry;
+  Engine engine(pc.placed.cluster, p);
+  const std::string name = std::string(prefix) + ".value_buffers.fresh";
+  std::uint64_t count = 0;
+  std::uint64_t bytes = 0;
+  for (int run = 0; run < 3; ++run) {
+    const auto result =
+        engine.execute(c.planned.plan, c.planned.outputs, c.stripe);
+    ASSERT_EQ(result.outputs, c.expected);
+    const auto* fresh = registry.find_counter(name);
+    const auto* fresh_bytes = registry.find_counter(name + "_bytes");
+    ASSERT_NE(fresh, nullptr);
+    ASSERT_NE(fresh_bytes, nullptr);
+    if (run == 0) {
+      EXPECT_GT(fresh->value(), c.planned.outputs.size());  // cold
+    } else {
+      EXPECT_EQ(fresh->value() - count, c.planned.outputs.size())
+          << "warm run " << run;
+      EXPECT_EQ(fresh_bytes->value() - bytes,
+                c.planned.outputs.size() * block);
+    }
+    count = fresh->value();
+    bytes = fresh_bytes->value();
+  }
+}
+
+}  // namespace
+
+TEST(SlicedTestbed, ScaledViewsByteExactOnParityLoss) {
+  expect_scaled_views_byte_exact<Testbed, TestbedParams>();
+}
+
+TEST(SlicedTcp, ScaledViewsByteExactOnParityLoss) {
+  expect_scaled_views_byte_exact<rpr::net::TcpRuntime,
+                                 rpr::net::TcpRuntimeParams>();
+}
+
+TEST(SlicedTestbed, MatrixPathFoldsScaledReads) {
+  expect_matrix_path_folds_scales<Testbed, TestbedParams>();
+}
+
+TEST(SlicedTcp, MatrixPathFoldsScaledReads) {
+  expect_matrix_path_folds_scales<rpr::net::TcpRuntime,
+                                  rpr::net::TcpRuntimeParams>();
+}
+
+TEST(SlicedTestbed, AbortSalvageMaterializesEveryView) {
+  expect_salvage_materialized<Testbed>(TestbedParams{});
+}
+
+TEST(SlicedTcp, AbortSalvageMaterializesEveryView) {
+  rpr::net::TcpRuntimeParams p;
+  p.retry.op_deadline_s = 5.0;  // dead peers error out fast
+  expect_salvage_materialized<rpr::net::TcpRuntime>(p);
+}
+
+TEST(SlicedTestbed, BlockReadOutputIsMaterializedFromItsView) {
+  expect_block_read_output_materialized<Testbed, TestbedParams>();
+}
+
+TEST(SlicedTcp, BlockReadOutputIsMaterializedFromItsView) {
+  expect_block_read_output_materialized<rpr::net::TcpRuntime,
+                                        rpr::net::TcpRuntimeParams>();
+}
+
+TEST(SlicedTestbed, OutputsSharingAnOwnerAreEachByteExact) {
+  expect_shared_owner_outputs<Testbed, TestbedParams>();
+}
+
+TEST(SlicedTcp, OutputsSharingAnOwnerAreEachByteExact) {
+  expect_shared_owner_outputs<rpr::net::TcpRuntime,
+                              rpr::net::TcpRuntimeParams>();
+}
+
+TEST(SlicedTestbed, WarmRepairAllocatesOnlyTheMovedOutputsBuffer) {
+  expect_warm_repair_fresh_count<Testbed, TestbedParams>("testbed");
+}
+
+TEST(SlicedTcp, WarmRepairAllocatesOnlyTheMovedOutputsBuffer) {
+  expect_warm_repair_fresh_count<rpr::net::TcpRuntime,
+                                 rpr::net::TcpRuntimeParams>("tcp");
+}
+
+TEST(SlicedTcp, TeardownFollowsTheLastOpWithinTwoMilliseconds) {
+  // Acceptors and idle frame loops are woken the moment a node's owed ops
+  // resolve, not on their next 10 ms poll: the gap from the last op span's
+  // end to the join (the end of wall_time) stays small.
+  const PlacedCode pc({6, 3}, rpr::topology::PlacementPolicy::kRpr);
+  const ReuseCase c =
+      reuse_case("rpr data loss", pc, Scheme::kRpr, 0, 1 << 20, 311);
+  rpr::obs::Recorder recorder;
+  auto p = view_params<rpr::net::TcpRuntimeParams>(pc, 64 << 10);
+  p.recorder = &recorder;
+  rpr::net::TcpRuntime rt(pc.placed.cluster, p);
+  std::vector<double> gaps_ms;
+  for (int run = 0; run < 8; ++run) {
+    const std::size_t first = recorder.spans().size();
+    const auto result =
+        rt.execute(c.planned.plan, c.planned.outputs, c.stripe);
+    ASSERT_EQ(result.outputs, c.expected);
+    if (run == 0) continue;  // warm-up
+    std::int64_t last_end = 0;
+    for (std::size_t i = first; i < recorder.spans().size(); ++i) {
+      const auto& s = recorder.spans()[i];
+      last_end = std::max(last_end, s.start_ns + s.dur_ns);
+    }
+    gaps_ms.push_back(
+        static_cast<double>(result.wall_time.count() - last_end) / 1e6);
+  }
+  std::sort(gaps_ms.begin(), gaps_ms.end());
+  const double median = gaps_ms[gaps_ms.size() / 2];
+  EXPECT_LT(median, 2.0) << "median teardown gap " << median << " ms";
 }
